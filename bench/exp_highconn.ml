@@ -1,6 +1,5 @@
 (* E13 — high-connection-count worlds: events/s and peak memory vs live
-   connections {1k, 4k, 10k}, swept over the engine scheduling backend
-   (--engine heap,wheel).
+   connections {1k, 4k, 10k}.
 
    The workload is shaped like the fleet-dispatcher scenario this PR
    unlocks: a replicated pair serves [conns] long-LIVED connections at
@@ -11,18 +10,15 @@
    far-future, usually-cancelled timer population that timer wheels
    exist for, cf. the BSD callout wheel and PnO-TCP's per-packet timer
    argument).  With 10k connections the engine carries tens of
-   thousands of pending timers: the binary heap pays O(log n) per
-   schedule/cancel with cold cache lines, the wheel O(1) bucket pushes.
+   thousands of pending timers, each schedule an O(1) wheel-bucket
+   push.
 
    Determinism contract (the part CI gates on): for a fixed seed the
-   trial table (conns/completed/bytes/events/sim_ms columns) and the
-   metrics fingerprint are byte-identical across --engine heap|wheel
-   and --jobs 1|2.  The fingerprint hashes the final world's registry
-   dump minus the [engine.*] scope — those two counters are structural
-   to the backend (the backends meet cancelled events at different
-   moments) and are the ONLY registry entries allowed to differ; see
-   DESIGN.  Wall-clock, events/s and peak-RSS are reported separately
-   and excluded from the identity comparison. *)
+   trial table (conns/completed/bytes/events/sim_ms columns), the
+   metrics fingerprint (a hash of the final world's whole registry
+   dump) and the summary lines are byte-identical across --jobs 1|2.
+   Wall-clock, events/s and peak-RSS are reported separately and
+   excluded from the identity comparison. *)
 
 open Harness
 module Engine = Tcpfo_sim.Engine
@@ -65,28 +61,19 @@ type outcome = {
   conns : int;
   completed : int; (* connections that finished all rounds and closed *)
   bytes : int; (* payload bytes received by clients *)
-  events : int; (* engine events fired — identical across backends *)
+  events : int; (* engine events fired *)
   sim_ns : int;
   peak_live : int; (* peak concurrently-established connections *)
   wdog_fires : int; (* idle watchdogs that fired (stalled >5 s) *)
   wall_s : float;
-  fingerprint : string; (* registry dump minus engine.*, hashed *)
+  fingerprint : string; (* final registry dump, hashed *)
 }
 
-(* Hash of the final registry dump with the backend-structural engine.*
-   lines removed: equal across backends, and across --jobs for a fixed
-   backend. *)
 let metrics_fingerprint world =
-  let dump = Registry.dump (World.metrics world) in
-  let kept =
-    String.split_on_char '\n' dump
-    |> List.filter (fun line ->
-           not (String.length line >= 7 && String.sub line 0 7 = "engine."))
-  in
-  Digest.to_hex (Digest.string (String.concat "\n" kept))
+  Digest.to_hex (Digest.string (Registry.dump (World.metrics world)))
 
-let one_trial ~backend ~conns ~seed =
-  let world = World.create ~seed ~engine_backend:backend () in
+let one_trial ~conns ~seed =
+  let world = World.create ~seed () in
   note_world world;
   let spec =
     (Topo.segment ~config:lan_config "lan"
@@ -240,70 +227,57 @@ let peak_rss_kb () =
     scan ()
   with Sys_error _ -> 0
 
-let run_exp ~conn_counts ~backends ~trials =
+let run_exp ~conn_counts ~trials =
   print_header
     (Printf.sprintf
-       "E13: high-connection worlds (conns in {%s}, engines {%s}, %d \
-        trial%s, %d job%s)"
+       "E13: high-connection worlds (conns in {%s}, %d trial%s, %d job%s)"
        (String.concat ", " (List.map string_of_int conn_counts))
-       (String.concat ", " (List.map Engine.backend_name backends))
        trials
        (if trials = 1 then "" else "s")
        !jobs
-       (if !jobs = 1 then "" else "s"))
-    ;
+       (if !jobs = 1 then "" else "s"));
   let total_events = ref 0 in
   let all_ok = ref true in
-  let summaries = ref [] in
-  List.iter
-    (fun backend ->
-      Printf.printf "\n--- engine=%s ---\n" (Engine.backend_name backend);
-      Printf.printf "%-6s %8s %8s %10s %12s %10s %9s %6s %34s\n" "trial"
-        "conns" "done" "bytes" "events" "sim[ms]" "peak-live" "wdog"
-        "metrics-fingerprint";
-      List.iter
-        (fun conns ->
-          let outcomes =
-            map_trials trials (fun i ->
-                one_trial ~backend ~conns ~seed:(13_000 + i))
-          in
-          (* deterministic table: identical bytes across backends/jobs *)
-          List.iteri
-            (fun i o ->
-              total_events := !total_events + o.events;
-              if o.completed <> o.conns then all_ok := false;
-              Printf.printf "%-6d %8d %8d %10d %12d %10.1f %9d %6d %34s\n" i
-                o.conns o.completed o.bytes o.events
-                (float_of_int o.sim_ns /. 1e6)
-                o.peak_live o.wdog_fires o.fingerprint)
-            outcomes;
-          let med_eps = Stats.median (List.map events_per_sec outcomes) in
-          summaries :=
-            (backend, conns, med_eps, outcomes) :: !summaries)
-        conn_counts)
-    backends;
+  Printf.printf "%-6s %8s %8s %10s %12s %10s %9s %6s %34s\n" "trial" "conns"
+    "done" "bytes" "events" "sim[ms]" "peak-live" "wdog" "metrics-fingerprint";
+  let summaries =
+    List.map
+      (fun conns ->
+        let outcomes =
+          map_trials trials (fun i -> one_trial ~conns ~seed:(13_000 + i))
+        in
+        (* deterministic table: identical bytes across job counts *)
+        List.iteri
+          (fun i o ->
+            total_events := !total_events + o.events;
+            if o.completed <> o.conns then all_ok := false;
+            Printf.printf "%-6d %8d %8d %10d %12d %10.1f %9d %6d %34s\n" i
+              o.conns o.completed o.bytes o.events
+              (float_of_int o.sim_ns /. 1e6)
+              o.peak_live o.wdog_fires o.fingerprint)
+          outcomes;
+        (conns, Stats.median (List.map events_per_sec outcomes), outcomes))
+      conn_counts
+  in
   (* timing section: intentionally NOT part of the identity contract *)
-  Printf.printf "\n%-8s %8s %14s %12s\n" "engine" "conns" "median-ev/s"
-    "peak-RSS[kB]";
+  Printf.printf "\n%8s %14s %12s\n" "conns" "median-ev/s" "peak-RSS[kB]";
   let rss = peak_rss_kb () in
   List.iter
-    (fun (backend, conns, med_eps, _) ->
-      Printf.printf "%-8s %8d %14.0f %12d\n" (Engine.backend_name backend)
-        conns med_eps rss)
-    (List.rev !summaries);
-  (* machine-readable summary for BENCH_highconn.json *)
+    (fun (conns, med_eps, _) ->
+      Printf.printf "%8d %14.0f %12d\n" conns med_eps rss)
+    summaries;
+  (* machine-readable summary, deterministic so CI can diff it across
+     job counts and gate its event counts against BENCH_highconn.json *)
   List.iter
-    (fun (backend, conns, med_eps, outcomes) ->
+    (fun (conns, _, outcomes) ->
       let o = List.hd outcomes in
       Printf.printf
-        "[highconn-summary] {\"engine\":%S,\"conns\":%d,\"trials\":%d,\
-         \"jobs\":%d,\"median_events_per_sec\":%.0f,\"events\":%d,\
-         \"sim_ms\":%.1f,\"peak_rss_kb\":%d,\"fingerprint\":%S,\
+        "[highconn-summary] {\"conns\":%d,\"trials\":%d,\"jobs\":%d,\
+         \"events\":%d,\"sim_ms\":%.1f,\"fingerprint\":%S,\
          \"all_completed\":%b}\n%!"
-        (Engine.backend_name backend)
-        conns trials !jobs med_eps o.events
+        conns trials !jobs o.events
         (float_of_int o.sim_ns /. 1e6)
-        rss o.fingerprint !all_ok)
-    (List.rev !summaries);
+        o.fingerprint !all_ok)
+    summaries;
   events_line ~exp:"highconn" !total_events;
   dump_metrics ~exp:"highconn"

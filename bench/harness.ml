@@ -59,12 +59,6 @@ type env = {
 
 let jobs = ref 1
 
-(* Engine scheduling backend for every world the experiments build,
-   set from --engine.  Simulation results are byte-identical across
-   backends (the packed table/metrics lines prove it per run); only
-   wall-clock differs. *)
-let engine_backend = ref Engine.Heap
-
 (* Deterministic total-event line, one per experiment run: CI smoke jobs
    gate on these (and on the metrics snapshots) instead of wall-clock,
    which varies with the runner. *)
@@ -124,7 +118,7 @@ let dump_metrics ~exp =
     | None -> Printf.printf "[metrics:%s] %s\n%!" exp json)
 
 let make_env ?(seed = 1) mode =
-  let world = World.create ~seed ~engine_backend:!engine_backend () in
+  let world = World.create ~seed () in
   note_world world;
   (* the benchmark testbed as data; declaration order mirrors the old
      hand-wired construction so seeded runs stay byte-identical *)

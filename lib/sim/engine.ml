@@ -18,16 +18,15 @@ type event_id = {
   mutable home : int; (* which structure holds the event, see home_* *)
 }
 
+(* home values *)
+let home_bucket = 0 (* a wheel bucket; swept when the bucket cascades *)
+let home_cur = 1 (* the open-slot heap *)
+let home_overflow = 2 (* the far-future heap *)
+let home_done = 3 (* popped (fired or discarded) *)
+
 let rec nil =
   { cancelled = true; consumed = true; at = max_int; seq = -1; fn = ignore;
-    next = nil; home = 0 }
-
-(* home values *)
-let home_main = 0 (* the heap backend's single queue *)
-let home_bucket = 1 (* a wheel bucket; swept when the bucket cascades *)
-let home_cur = 2 (* the wheel's open-slot heap *)
-let home_overflow = 3 (* the wheel's far-future heap *)
-let home_done = 4 (* popped (fired or discarded) *)
+    next = nil; home = home_done }
 
 (* ------------------------------------------------------------------ *)
 (* Flat binary min-heap over event_ids ordered by (at, seq).  Unlike the
@@ -35,9 +34,8 @@ let home_done = 4 (* popped (fired or discarded) *)
    per-push entry allocation) and orders by the global scheduling
    sequence, so events that reach a queue out of scheduling order (a
    cascaded wheel bucket merging with directly-scheduled events) still
-   pop in exactly the order the heap backend fires them.  Cancelled
-   entries are tombstones: [note_dead] sweeps them once they outnumber
-   the live entries. *)
+   pop in exact (at, seq) order.  Cancelled entries are tombstones:
+   [note_dead] sweeps them once they outnumber the live entries. *)
 module Evheap = struct
   type h = {
     mutable arr : event_id array;
@@ -118,10 +116,7 @@ module Evheap = struct
         h.arr.(!kept) <- ev;
         incr kept
       end
-      else begin
-        ev.home <- home_done;
-        ev.fn <- ignore
-      end
+      else ev.home <- home_done
     done;
     for i = !kept to h.size - 1 do
       h.arr.(i) <- nil
@@ -144,8 +139,9 @@ end
    each coarser wheel covers 256x more time; anything beyond the top
    span (~73 simulated minutes) waits in the overflow heap.  Events of
    the slot currently being drained sit in [cur], a small (at, seq)
-   heap, which preserves the exact global firing order the heap backend
-   produces. *)
+   heap, so the engine fires in exact (at, seq) order whatever order
+   events reached the slot in.  That is also why buckets are pushed at
+   the front: their order never reaches the firing order. *)
 
 let slot_bits = 10 (* 1.024 us granularity *)
 let wheel_bits = 8
@@ -153,22 +149,13 @@ let wheel_slots = 1 lsl wheel_bits
 let slot_mask = wheel_slots - 1
 let levels = 4
 
-type wheel = {
+type t = {
+  mutable clock : Time.t;
   heads : event_id array array; (* heads.(level).(slot), nil when empty *)
-  tails : event_id array array;
   counts : int array; (* queued entries (incl. tombstones) per level *)
   mutable opened : int; (* absolute level-0 slot number currently open *)
   cur : Evheap.h;
   overflow : Evheap.h;
-}
-
-type backend = Heap | Wheel
-
-type t = {
-  mutable clock : Time.t;
-  backend : backend;
-  queue : Evheap.h; (* heap backend's only queue; unused under Wheel *)
-  wheel : wheel option;
   mutable live : int;
   mutable processed : int;
   mutable seq : int;
@@ -178,32 +165,15 @@ type t = {
   mutable on_wheel_cascade : unit -> unit;
 }
 
-let create ?(backend = Heap) () =
-  let wheel =
-    match backend with
-    | Heap -> None
-    | Wheel ->
-      Some
-        {
-          heads = Array.init levels (fun _ -> Array.make wheel_slots nil);
-          tails = Array.init levels (fun _ -> Array.make wheel_slots nil);
-          counts = Array.make levels 0;
-          opened = 0;
-          cur = Evheap.create ();
-          overflow = Evheap.create ();
-        }
-  in
-  { clock = 0; backend; queue = Evheap.create (); wheel; live = 0;
-    processed = 0; seq = 0; cancelled_skips = 0; wheel_cascades = 0;
-    on_cancelled_skip = ignore; on_wheel_cascade = ignore }
-
-let backend t = t.backend
-let backend_name = function Heap -> "heap" | Wheel -> "wheel"
-
-let backend_of_string = function
-  | "heap" -> Ok Heap
-  | "wheel" -> Ok Wheel
-  | s -> Error (Printf.sprintf "unknown engine backend %S (heap|wheel)" s)
+(* Creating an engine (one per world) stays cheap: each level's
+   256-slot array is a minor-heap allocation made by the level's first
+   push ([bucket_push]); until then the level is the empty array. *)
+let create () =
+  { clock = 0; heads = Array.make levels [||];
+    counts = Array.make levels 0; opened = 0; cur = Evheap.create ();
+    overflow = Evheap.create (); live = 0; processed = 0; seq = 0;
+    cancelled_skips = 0; wheel_cascades = 0; on_cancelled_skip = ignore;
+    on_wheel_cascade = ignore }
 
 let now t = t.clock
 let processed t = t.processed
@@ -216,18 +186,40 @@ let set_stat_hooks t ~cancelled_skip ~wheel_cascade =
 
 let discard t ev =
   ev.home <- home_done;
-  ev.fn <- ignore;
   t.cancelled_skips <- t.cancelled_skips + 1;
   t.on_cancelled_skip ()
 
-(* -------------------------- wheel internals ----------------------- *)
+(* ---------------------------- internals --------------------------- *)
 
-let bucket_append w ~level ~slot ev =
-  ev.next <- nil;
-  if w.heads.(level).(slot) == nil then w.heads.(level).(slot) <- ev
-  else w.tails.(level).(slot).next <- ev;
-  w.tails.(level).(slot) <- ev;
-  w.counts.(level) <- w.counts.(level) + 1
+let bucket_push t ~level ~slot ev =
+  let heads =
+    let h = t.heads.(level) in
+    if Array.length h > 0 then h
+    else begin
+      let h = Array.make wheel_slots nil in
+      t.heads.(level) <- h;
+      h
+    end
+  in
+  ev.next <- heads.(slot);
+  heads.(slot) <- ev;
+  t.counts.(level) <- t.counts.(level) + 1
+
+(* Find the first level whose span covers [delta] and bucket [ev] there,
+   or overflow.  Top-level rather than local to [insert] so that
+   scheduling allocates nothing beyond the event record. *)
+let rec place t ev ~delta level =
+  if level >= levels then begin
+    ev.home <- home_overflow;
+    Evheap.push t.overflow ev
+  end
+  else if delta < 1 lsl (slot_bits + (wheel_bits * (level + 1))) then begin
+    ev.home <- home_bucket;
+    bucket_push t ~level
+      ~slot:((ev.at lsr (slot_bits + (wheel_bits * level))) land slot_mask)
+      ev
+  end
+  else place t ev ~delta (level + 1)
 
 (* Place [ev] relative to the wheel position (the open slot), not the
    clock: after an overflow pop or an idle [run ~until] the clock can
@@ -235,52 +227,29 @@ let bucket_append w ~level ~slot ev =
    keeps every non-empty bucket strictly ahead of the wheel, so it
    cascades before its events come due.  Events for the open slot (or
    earlier) join [cur] directly. *)
-let wheel_insert w ev =
-  let slot_abs = ev.at lsr slot_bits in
-  if slot_abs <= w.opened then begin
+let insert t ev =
+  if ev.at lsr slot_bits <= t.opened then begin
     ev.home <- home_cur;
-    Evheap.push w.cur ev
+    Evheap.push t.cur ev
   end
-  else begin
-    let delta = ev.at - (w.opened lsl slot_bits) in
-    let rec place level =
-      if level >= levels then begin
-        ev.home <- home_overflow;
-        Evheap.push w.overflow ev
-      end
-      else if delta < 1 lsl (slot_bits + (wheel_bits * (level + 1))) then begin
-        let slot =
-          (ev.at lsr (slot_bits + (wheel_bits * level))) land slot_mask
-        in
-        ev.home <- home_bucket;
-        bucket_append w ~level ~slot ev
-      end
-      else place (level + 1)
-    in
-    place 0
-  end
+  else place t ev ~delta:(ev.at - (t.opened lsl slot_bits)) 0
 
-let bucket_take w ~level ~slot =
-  let head = w.heads.(level).(slot) in
-  if head != nil then begin
-    let n = ref 0 in
-    let p = ref head in
-    while !p != nil do
-      incr n;
-      p := !p.next
-    done;
-    w.counts.(level) <- w.counts.(level) - !n;
-    w.heads.(level).(slot) <- nil;
-    w.tails.(level).(slot) <- nil
-  end;
-  head
+(* Detach a bucket's list; the caller settles [counts] as it walks it. *)
+let bucket_take t ~level ~slot =
+  if t.counts.(level) = 0 then nil
+  else begin
+    let heads = t.heads.(level) in
+    let head = heads.(slot) in
+    heads.(slot) <- nil;
+    head
+  end
 
 (* Tombstone compaction for bucketed events happens here: cancelled
    entries are dropped instead of re-inserted, so a cancel costs O(1) at
-   cancel time and the corpse is reclaimed the next time its bucket
+   cancel time and the record is reclaimed the next time its bucket
    moves. *)
-let cascade t w ~level ~slot =
-  let head = bucket_take w ~level ~slot in
+let cascade t ~level ~slot =
+  let head = bucket_take t ~level ~slot in
   if head != nil then begin
     t.wheel_cascades <- t.wheel_cascades + 1;
     t.on_wheel_cascade ();
@@ -289,33 +258,34 @@ let cascade t w ~level ~slot =
       let ev = !p in
       p := ev.next;
       ev.next <- nil;
-      if ev.cancelled then discard t ev else wheel_insert w ev
+      t.counts.(level) <- t.counts.(level) - 1;
+      if ev.cancelled then discard t ev else insert t ev
     done
   end
 
-let open_slot t w pos =
-  let head = bucket_take w ~level:0 ~slot:(pos land slot_mask) in
-  let p = ref head in
+let open_slot t pos =
+  let p = ref (bucket_take t ~level:0 ~slot:(pos land slot_mask)) in
   while !p != nil do
     let ev = !p in
     p := ev.next;
     ev.next <- nil;
+    t.counts.(0) <- t.counts.(0) - 1;
     if ev.cancelled then discard t ev
     else begin
       ev.home <- home_cur;
-      Evheap.push w.cur ev
+      Evheap.push t.cur ev
     end
   done
 
-let enter t w pos =
-  w.opened <- pos;
+let enter t pos =
+  t.opened <- pos;
   if pos land ((1 lsl (3 * wheel_bits)) - 1) = 0 then
-    cascade t w ~level:3 ~slot:((pos lsr (3 * wheel_bits)) land slot_mask);
+    cascade t ~level:3 ~slot:((pos lsr (3 * wheel_bits)) land slot_mask);
   if pos land ((1 lsl (2 * wheel_bits)) - 1) = 0 then
-    cascade t w ~level:2 ~slot:((pos lsr (2 * wheel_bits)) land slot_mask);
+    cascade t ~level:2 ~slot:((pos lsr (2 * wheel_bits)) land slot_mask);
   if pos land slot_mask = 0 then
-    cascade t w ~level:1 ~slot:((pos lsr wheel_bits) land slot_mask);
-  open_slot t w pos
+    cascade t ~level:1 ~slot:((pos lsr wheel_bits) land slot_mask);
+  open_slot t pos
 
 (* Drop tombstones sitting on top of a heap, leaving a live minimum (or
    an empty heap). *)
@@ -327,62 +297,64 @@ let drain_tombstones t h =
     else continue := false
   done
 
-let buckets_total w =
-  w.counts.(0) + w.counts.(1) + w.counts.(2) + w.counts.(3)
+(* The next position worth entering while level 0 is occupied: the first
+   occupied level-0 slot, or the next level-1 boundary if that comes
+   first.  Every level-0 entry lies in positions [opened+1 .. opened+255]
+   — one lap of the wheel — so a non-nil head names exactly one
+   position.  The boundary must still be entered even when level-0
+   entries lie beyond it, because its cascade can fill nearer slots. *)
+let next_occupied t =
+  let heads = t.heads.(0) in
+  let boundary = (t.opened lor slot_mask) + 1 in
+  let pos = ref (t.opened + 1) in
+  while !pos < boundary && heads.(!pos land slot_mask) == nil do
+    incr pos
+  done;
+  !pos
 
 (* Advance the wheel position until the open-slot heap holds a live
-   event or the wheels are empty.  Empty levels are skipped a whole
-   boundary at a time, so an idle gap costs O(wheel_slots * levels)
-   rather than one step per elapsed slot. *)
-let rec advance t w =
-  drain_tombstones t w.cur;
-  if Evheap.is_empty w.cur && buckets_total w > 0 then begin
+   event or the wheels are empty.  Empty positions are never entered:
+   level 0 is scanned to its next occupied slot, and empty levels are
+   skipped a whole boundary at a time, so an idle gap costs
+   O(wheel_slots * levels) rather than one step per elapsed slot. *)
+let rec advance t =
+  drain_tombstones t t.cur;
+  let c = t.counts in
+  if Evheap.is_empty t.cur && c.(0) + c.(1) + c.(2) + c.(3) > 0 then begin
     let pos =
-      if w.counts.(0) > 0 then w.opened + 1
-      else if w.counts.(1) > 0 then (w.opened lor slot_mask) + 1
-      else if w.counts.(2) > 0 then
-        (w.opened lor ((1 lsl (2 * wheel_bits)) - 1)) + 1
-      else (w.opened lor ((1 lsl (3 * wheel_bits)) - 1)) + 1
+      if c.(0) > 0 then next_occupied t
+      else if c.(1) > 0 then (t.opened lor slot_mask) + 1
+      else if c.(2) > 0 then (t.opened lor ((1 lsl (2 * wheel_bits)) - 1)) + 1
+      else (t.opened lor ((1 lsl (3 * wheel_bits)) - 1)) + 1
     in
-    enter t w pos;
-    advance t w
+    enter t pos;
+    advance t
   end
 
 (* The next live event, without removing it: the wheel candidate (after
    advancing) compared against the overflow heap by (at, seq) — an event
    scheduled beyond the horizon can come due before events bucketed
    later from a nearer position. *)
-let wheel_peek t w =
-  advance t w;
-  drain_tombstones t w.overflow;
-  let a = Evheap.peek w.cur and b = Evheap.peek w.overflow in
-  if a == nil then if b == nil then nil else b
+let peek_next t =
+  advance t;
+  drain_tombstones t t.overflow;
+  let a = Evheap.peek t.cur and b = Evheap.peek t.overflow in
+  if a == nil then b
   else if b == nil then a
   else if Evheap.less a b then a
   else b
 
-let wheel_take t w =
-  let ev = wheel_peek t w in
-  if ev == nil then nil
-  else begin
-    let h = if ev.home = home_cur then w.cur else w.overflow in
-    ignore (Evheap.pop h);
-    ev
-  end
-
-let heap_peek t =
-  drain_tombstones t t.queue;
-  Evheap.peek t.queue
-
-let heap_take t =
-  let ev = heap_peek t in
-  if ev == nil then nil else Evheap.pop t.queue
-
-let peek_next t =
-  match t.wheel with None -> heap_peek t | Some w -> wheel_peek t w
-
-let take_next t =
-  match t.wheel with None -> heap_take t | Some w -> wheel_take t w
+(* Pop [ev] (the result of [peek_next]) and run it. *)
+let fire t ev =
+  ignore (Evheap.pop (if ev.home = home_cur then t.cur else t.overflow));
+  t.clock <- ev.at;
+  t.live <- t.live - 1;
+  t.processed <- t.processed + 1;
+  ev.consumed <- true;
+  ev.home <- home_done;
+  let fn = ev.fn in
+  ev.fn <- ignore;
+  fn ()
 
 (* ------------------------------ API ------------------------------- *)
 
@@ -391,28 +363,26 @@ let schedule_at t ~at fn =
   t.seq <- t.seq + 1;
   let ev =
     { cancelled = false; consumed = false; at; seq = t.seq; fn; next = nil;
-      home = home_main }
+      home = home_done }
   in
-  (match t.wheel with
-  | None -> Evheap.push t.queue ev
-  | Some w -> wheel_insert w ev);
+  insert t ev;
   t.live <- t.live + 1;
   ev
 
 let schedule t ~delay fn = schedule_at t ~at:(t.clock + max 0 delay) fn
 
+(* The body is dropped at once, so whatever it captures becomes
+   garbage now rather than when its bucket next cascades. *)
 let cancel t id =
   if not id.cancelled then begin
     id.cancelled <- true;
+    id.fn <- ignore;
     (* a consumed event already left the live count at firing time *)
     if not id.consumed then begin
       t.live <- t.live - 1;
-      if id.home = home_main then Evheap.note_dead t.queue
-      else
-        match t.wheel with
-        | Some w when id.home = home_cur -> Evheap.note_dead w.cur
-        | Some w when id.home = home_overflow -> Evheap.note_dead w.overflow
-        | _ -> () (* bucketed: reclaimed when the bucket next moves *)
+      if id.home = home_cur then Evheap.note_dead t.cur
+      else if id.home = home_overflow then Evheap.note_dead t.overflow
+      (* bucketed: reclaimed when the bucket next moves *)
     end
   end
 
@@ -421,17 +391,10 @@ let pending t = t.live
 let is_cancelled id = id.cancelled
 
 let step t =
-  let ev = take_next t in
+  let ev = peek_next t in
   if ev == nil then false
   else begin
-    t.clock <- ev.at;
-    t.live <- t.live - 1;
-    t.processed <- t.processed + 1;
-    ev.consumed <- true;
-    ev.home <- home_done;
-    let fn = ev.fn in
-    ev.fn <- ignore;
-    fn ();
+    fire t ev;
     true
   end
 
@@ -447,7 +410,7 @@ let run ?until ?max_events t =
         t.clock <- max t.clock u;
         continue := false
       | _ ->
-        ignore (step t);
+        fire t ev;
         decr budget
   done;
   match until with

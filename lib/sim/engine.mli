@@ -1,37 +1,21 @@
 (** Deterministic discrete-event simulation engine.
 
     A single [Engine.t] owns the simulated clock and the event queue.
-    Events scheduled for the same instant fire in scheduling order, which
-    makes whole-network simulations reproducible.
+    Events fire in (time, scheduling order): events scheduled for the
+    same instant fire in the order they were scheduled, which makes
+    whole-network simulations reproducible.
 
-    Two interchangeable scheduling backends exist ({!backend}).  Both
-    fire events in exactly the same order — (time, scheduling order) is a
-    total order and each backend realises it faithfully — so simulation
-    results are byte-identical across backends; only wall-clock cost
-    differs.  See DESIGN.md for the identity argument. *)
+    The queue is a hierarchical timer wheel: near-future events hash
+    into cascading buckets in O(1), far-future events wait in an
+    overflow heap, and the slot being drained is a (time, scheduling
+    order) heap, so the firing order is exact.  See DESIGN.md 7.11. *)
 
 type t
 
 type event_id
 (** Handle for cancelling a scheduled event. *)
 
-type backend =
-  | Heap  (** one global binary min-heap; O(log n) schedule/pop *)
-  | Wheel
-      (** hierarchical timer wheel: near-future events hash into
-          cascading buckets in O(1), far-future events wait in an
-          overflow heap.  Same firing order as [Heap]. *)
-
-val create : ?backend:backend -> unit -> t
-(** [backend] defaults to [Heap]. *)
-
-val backend : t -> backend
-
-val backend_name : backend -> string
-(** ["heap"] / ["wheel"] — the names accepted by {!backend_of_string}
-    and by bench [--engine]. *)
-
-val backend_of_string : string -> (backend, string) result
+val create : unit -> t
 
 val now : t -> Time.t
 (** Current simulated time. *)
@@ -48,7 +32,9 @@ val cancel : t -> event_id -> unit
     that already fired is also safe and marks the id cancelled without
     touching the live count — a clock wrapper that parked the event's body
     (pause-aware host) can then observe the cancellation via
-    {!is_cancelled} and skip the parked body. *)
+    {!is_cancelled} and skip the parked body.  Cancelling drops the
+    event's body at once, so nothing it captures is kept alive by the
+    queue. *)
 
 val is_cancelled : event_id -> bool
 
@@ -63,13 +49,10 @@ val cancelled_skips : t -> int
 (** Cancelled events the engine discarded while scanning for the next
     live event (heap-top tombstones, cancelled wheel-bucket entries).
     Entries swept by a heap compaction are not counted — this tallies
-    engine-side skips, not every reclaimed tombstone.  Backend-dependent
-    by construction (the two backends meet tombstones at different
-    moments), so it is excluded from cross-backend identity checks. *)
+    engine-side skips, not every reclaimed tombstone. *)
 
 val wheel_cascades : t -> int
-(** Non-empty bucket migrations performed by the wheel backend (always 0
-    under [Heap]).  Backend-structural, like {!cancelled_skips}. *)
+(** Non-empty wheel buckets cascaded to a finer level. *)
 
 val set_stat_hooks :
   t -> cancelled_skip:(unit -> unit) -> wheel_cascade:(unit -> unit) -> unit

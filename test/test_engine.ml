@@ -75,44 +75,130 @@ let test_guarded_clock () =
   Engine.run e;
   Alcotest.(check (list int)) "only pre-death" [ 1 ] (List.rev !fired)
 
-(* ---------------- wheel backend vs heap reference ------------------ *)
+(* ------------------ wheel vs a sorted-list model ------------------- *)
 
-(* Run the same deterministic scenario on both backends and demand
-   identical firing logs, clocks, and counters.  [scenario] receives the
-   engine and a [record : int -> unit] sink. *)
-let both_backends name scenario =
-  let run backend =
-    let e = Engine.create ~backend () in
-    let log = ref [] in
-    scenario e (fun tag -> log := (Engine.now e, tag) :: !log);
-    Engine.run e;
-    (List.rev !log, Engine.now e, Engine.processed e, Engine.pending e)
+(* The reference semantics in a dozen lines: a list kept in firing order
+   — by time, then scheduling order — and fired from the front.  It mirrors the engine's contract —
+   past times clip to now, cancel-after-fire leaves [pending] alone,
+   [run ~until] stops before later events and advances an idle clock. *)
+module Model = struct
+  type ev = { at : int; fn : unit -> unit; mutable dead : bool;
+              mutable fired : bool }
+
+  type t = { mutable clock : int; mutable queue : ev list;
+             mutable processed : int; mutable pending : int }
+
+  let create () = { clock = 0; queue = []; processed = 0; pending = 0 }
+
+  let schedule_at m ~at fn =
+    let ev = { at = max at m.clock; fn; dead = false; fired = false } in
+    (* the newest event goes after every event due at the same time *)
+    let rec ins = function
+      | x :: rest when x.at <= ev.at -> x :: ins rest
+      | l -> ev :: l
+    in
+    m.queue <- ins m.queue;
+    m.pending <- m.pending + 1;
+    ev
+
+  let cancel m ev =
+    if not ev.dead then begin
+      ev.dead <- true;
+      if not ev.fired then m.pending <- m.pending - 1
+    end
+
+  let rec run ?until m =
+    m.queue <- List.filter (fun ev -> not ev.dead) m.queue;
+    match m.queue, until with
+    | [], Some u -> m.clock <- max m.clock u
+    | [], None -> ()
+    | ev :: _, Some u when ev.at > u -> m.clock <- max m.clock u
+    | ev :: rest, _ ->
+      m.queue <- rest;
+      m.clock <- ev.at;
+      ev.fired <- true;
+      m.processed <- m.processed + 1;
+      m.pending <- m.pending - 1;
+      ev.fn ();
+      run ?until m
+end
+
+(* The scheduling surface a scenario drives, implemented by the engine
+   and by the model; handles are indices in scheduling order. *)
+type driver = {
+  now : unit -> int;
+  at : int -> (unit -> unit) -> int;
+  cancel : int -> unit;
+  run_for : int -> unit;
+  finish : unit -> int * int * int; (* run to empty: clock, processed, pending *)
+}
+
+let handles () =
+  let ids = Hashtbl.create 16 in
+  let add id =
+    let h = Hashtbl.length ids in
+    Hashtbl.add ids h id;
+    h
   in
-  let lh, nh, ph, qh = run Engine.Heap in
-  let lw, nw, pw, qw = run Engine.Wheel in
-  Alcotest.(check (list (pair int int))) (name ^ ": log") lh lw;
-  Testutil.check_int (name ^ ": clock") nh nw;
-  Testutil.check_int (name ^ ": processed") ph pw;
-  Testutil.check_int (name ^ ": pending") qh qw
+  (add, Hashtbl.find ids)
+
+let engine_driver () =
+  let e = Engine.create () in
+  let add, get = handles () in
+  { now = (fun () -> Engine.now e);
+    at = (fun at fn -> add (Engine.schedule_at e ~at fn));
+    cancel = (fun h -> Engine.cancel e (get h));
+    run_for = Engine.run_for e;
+    finish = (fun () -> Engine.run e;
+               (Engine.now e, Engine.processed e, Engine.pending e)) }
+
+let model_driver () =
+  let m = Model.create () in
+  let add, get = handles () in
+  { now = (fun () -> m.Model.clock);
+    at = (fun at fn -> add (Model.schedule_at m ~at fn));
+    cancel = (fun h -> Model.cancel m (get h));
+    run_for = (fun d -> Model.run m ~until:(m.Model.clock + d));
+    finish = (fun () -> Model.run m;
+               (m.Model.clock, m.Model.processed, m.Model.pending)) }
+
+(* Run [scenario] against the engine and the model and return both
+   (firing log, clock, processed, pending). *)
+let against_model scenario =
+  let run mk =
+    let d = mk () in
+    let log = ref [] in
+    scenario d (fun tag -> log := (d.now (), tag) :: !log);
+    let clock, processed, pending = d.finish () in
+    (List.rev !log, clock, processed, pending)
+  in
+  (run engine_driver, run model_driver)
+
+let matches_model name scenario =
+  let (le, ce, pe, qe), (lm, cm, pm, qm) = against_model scenario in
+  Alcotest.(check (list (pair int int))) (name ^ ": log") lm le;
+  Testutil.check_int (name ^ ": clock") cm ce;
+  Testutil.check_int (name ^ ": processed") pm pe;
+  Testutil.check_int (name ^ ": pending") qm qe
+
+let after d delay fn = d.at (d.now () + delay) fn
 
 (* The classification bug class this guards: an event scheduled while
    far in the future reaches the open slot via cascades, while a second
    event for the same instant is scheduled directly once the wheel is
    close — equal times must still fire in scheduling order. *)
 let test_wheel_equal_time_across_paths () =
-  both_backends "cross-path tie" (fun e record ->
+  matches_model "cross-path tie" (fun d record ->
       let at = Time.ms 5 in
-      ignore (Engine.schedule_at e ~at (fun () -> record 1));
-      ignore
-        (Engine.schedule_at e ~at:(Time.ms 4) (fun () ->
-             ignore (Engine.schedule_at e ~at (fun () -> record 2))));
-      ignore (Engine.schedule_at e ~at:(Time.us 1) (fun () -> record 0)))
+      ignore (d.at at (fun () -> record 1));
+      ignore (d.at (Time.ms 4) (fun () -> ignore (d.at at (fun () -> record 2))));
+      ignore (d.at (Time.us 1) (fun () -> record 0)))
 
 let test_wheel_spans () =
-  both_backends "all levels + overflow" (fun e record ->
+  matches_model "all levels + overflow" (fun d record ->
       (* one event per wheel level plus one beyond the ~73 min horizon *)
       List.iteri
-        (fun i d -> ignore (Engine.schedule e ~delay:d (fun () -> record i)))
+        (fun i delay -> ignore (after d delay (fun () -> record i)))
         [
           Time.ns 100; (* open slot *)
           Time.us 50; (* level 0 *)
@@ -123,21 +209,48 @@ let test_wheel_spans () =
         ])
 
 let test_wheel_idle_gap () =
-  both_backends "idle gap then burst" (fun e record ->
-      ignore (Engine.schedule e ~delay:(Time.us 2) (fun () -> record 0));
+  matches_model "idle gap then burst" (fun d record ->
+      ignore (after d (Time.us 2) (fun () -> record 0));
       ignore
-        (Engine.schedule e ~delay:(Time.sec 60.) (fun () ->
+        (after d (Time.sec 60.) (fun () ->
              record 1;
              for i = 2 to 6 do
-               ignore
-                 (Engine.schedule e ~delay:(Time.us i) (fun () -> record i))
+               ignore (after d (Time.us i) (fun () -> record i))
              done)))
 
-(* Random schedule/cancel/run-until programs, interpreted on both
-   backends; handlers re-schedule children and cancel earlier ids, so
-   insertions happen at many wheel positions.  Delays mix every level
-   of the hierarchy including the overflow horizon. *)
-let prop_wheel_matches_heap =
+(* Empty level-0 slots are skipped by scanning to the next occupied one
+   or the next level-1 boundary.  Sparse timers sit just before, on and
+   just after level-1 (262.144 us) and level-2 (67.108864 ms)
+   boundaries; each handler schedules into the slots between itself and
+   the next timer — slots the scan passed over as empty — and across
+   the coming boundary, where the cascade fills slots nearer than
+   entries already on level 0. *)
+let test_wheel_slot_skip () =
+  let slot = 1024 in
+  let l1 = 256 * slot and l2 = 256 * 256 * slot in
+  matches_model "slot skip across boundaries" (fun d record ->
+      let tag = ref 100 in
+      let handler base () =
+        record base;
+        List.iter
+          (fun delay ->
+            incr tag;
+            let n = !tag in
+            ignore (after d delay (fun () -> record n)))
+          [ 0; 1; slot - 1; slot; 3 * slot; 200 * slot; 255 * slot;
+            l1 - 1; l1 + slot; 2 * l1 ]
+      in
+      List.iteri
+        (fun i at -> ignore (d.at at (handler i)))
+        [ l1 - (2 * slot); l1; l1 + 7; (5 * l1) - 1; l2 - (3 * slot);
+          l2 - 1; l2; l2 + (250 * slot); (3 * l2) + (255 * slot);
+          (3 * l2) + l1 ])
+
+(* Random schedule/cancel/run-until programs interpreted on the engine
+   and on the model; handlers re-schedule children and cancel earlier
+   ids, so insertions happen at many wheel positions.  Delays mix every
+   level of the hierarchy including the overflow horizon. *)
+let prop_wheel_matches_model =
   let op_gen =
     QCheck.Gen.(
       frequency
@@ -152,53 +265,58 @@ let prop_wheel_matches_heap =
           (1, map (fun d -> `Run_for (max 1 d)) (int_range 1 50_000_000));
         ])
   in
-  QCheck.Test.make ~name:"wheel fires identically to heap" ~count:60
+  QCheck.Test.make ~name:"wheel matches a sorted-list model" ~count:60
     QCheck.(make ~print:(fun l -> string_of_int (List.length l))
               Gen.(list_size (int_range 5 60) op_gen))
     (fun ops ->
-      let interp backend =
-        let e = Engine.create ~backend () in
-        let log = ref [] in
-        let ids = ref [||] in
+      let scenario d record =
+        let count = ref 0 in
         let tag = ref 0 in
         let rec handler n () =
-          log := (Engine.now e, n) :: !log;
+          record n;
           (* deterministic in-handler activity driven by the tag *)
           if n mod 3 = 0 then remember (n * 37 mod 2_000_000) (n + 1000);
-          if n mod 5 = 0 && Array.length !ids > 0 then
-            Engine.cancel e !ids.(n mod Array.length !ids)
+          if n mod 5 = 0 && !count > 0 then d.cancel (n mod !count)
         and remember delay n =
-          let id = Engine.schedule e ~delay (fun () -> handler n ()) in
-          ids := Array.append !ids [| id |]
+          ignore (after d delay (handler n));
+          incr count
         in
         List.iter
           (fun op ->
             incr tag;
             match op with
-            | `Schedule d -> remember d !tag
-            | `Cancel i ->
-              if Array.length !ids > 0 then
-                Engine.cancel e !ids.(i mod Array.length !ids)
-            | `Run_for d -> Engine.run_for e d)
-          ops;
-        Engine.run e;
-        (List.rev !log, Engine.now e, Engine.processed e, Engine.pending e)
+            | `Schedule delay -> remember delay !tag
+            | `Cancel i -> if !count > 0 then d.cancel (i mod !count)
+            | `Run_for delay -> d.run_for delay)
+          ops
       in
-      interp Engine.Heap = interp Engine.Wheel)
+      let engine, model = against_model scenario in
+      engine = model)
 
-let test_backend_of_string () =
-  Testutil.check_bool "heap" true
-    (Engine.backend_of_string "heap" = Ok Engine.Heap);
-  Testutil.check_bool "wheel" true
-    (Engine.backend_of_string "wheel" = Ok Engine.Wheel);
-  Testutil.check_bool "junk" true
-    (match Engine.backend_of_string "btree" with
-    | Error _ -> true
-    | Ok _ -> false);
-  Testutil.check_string "name" "wheel" (Engine.backend_name Engine.Wheel)
+(* A cancelled event still sits in its wheel bucket until the bucket
+   cascades; what its body captured must not stay reachable that long. *)
+let test_cancel_releases_closure () =
+  let e = Engine.create () in
+  let w = Weak.create 1 in
+  let[@inline never] arm () =
+    let payload = Bytes.make 64 'x' in
+    Weak.set w 0 (Some payload);
+    Engine.schedule e ~delay:(Time.sec 5.) (fun () ->
+        ignore (Sys.opaque_identity payload))
+  in
+  (* live neighbours keep the cancelled entry queued *)
+  for i = 1 to 4 do
+    ignore (Engine.schedule e ~delay:(Time.sec (float_of_int i)) ignore)
+  done;
+  let id = arm () in
+  Engine.cancel e id;
+  Gc.full_major ();
+  Testutil.check_bool "captured value collected" true (Weak.get w 0 = None);
+  Testutil.check_bool "still cancelled" true (Engine.is_cancelled id);
+  Testutil.check_int "live neighbours" 4 (Engine.pending e)
 
 let test_wheel_counters () =
-  let e = Engine.create ~backend:Engine.Wheel () in
+  let e = Engine.create () in
   let skips = ref 0 and cascades = ref 0 in
   Engine.set_stat_hooks e
     ~cancelled_skip:(fun () -> incr skips)
@@ -230,8 +348,11 @@ let suite =
     Alcotest.test_case "wheel: all levels + overflow" `Quick test_wheel_spans;
     Alcotest.test_case "wheel: idle gap then burst" `Quick
       test_wheel_idle_gap;
-    Alcotest.test_case "backend parsing" `Quick test_backend_of_string;
+    Alcotest.test_case "wheel: slot skip across boundaries" `Quick
+      test_wheel_slot_skip;
+    Alcotest.test_case "cancel releases the closure" `Quick
+      test_cancel_releases_closure;
     Alcotest.test_case "wheel: counters and stat hooks" `Quick
       test_wheel_counters;
-    QCheck_alcotest.to_alcotest prop_wheel_matches_heap;
+    QCheck_alcotest.to_alcotest prop_wheel_matches_model;
   ]
