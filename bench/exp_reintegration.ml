@@ -16,7 +16,7 @@
    calls {!Tcb.checkpoint} at every block boundary, so captures ship as
    delta snapshots (post-checkpoint input only); [Full] rows never
    checkpoint and ship the whole history.  The [pacing] axis switches
-   {!Replicated.start_transfers} between the legacy one-burst offer
+   the shared reintegration engine between the legacy one-burst offer
    storm and the windowed scheduler ([transfer_inflight] +
    [transfer_pace]).
 

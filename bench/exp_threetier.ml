@@ -21,8 +21,8 @@
    Transfers_complete, sim time).  A trial only counts as ok when the
    client's assembled stream and the back end's received request lines
    are both byte-exact through every cycle, nobody sees an RST, no
-   connection is stranded solo, and the chain ends with three live
-   replicas and all transfers settled.
+   connection is stranded solo, no transfer fails, and the chain ends
+   with three live replicas and all transfers settled.
 
    Everything is seeded and simulated, so the table is byte-identical
    across --jobs 1/2/4. *)
@@ -206,6 +206,7 @@ let one_trial ~cycles ~seed =
     !all_ok && !resets = 0 && !backend_resets = 0 && !isolated = 0
     && !deaths = cycles && !rejoins = cycles && !settled = cycles
     && Chain.pending_transfers chain = 0
+    && Chain.transfer_failures chain = 0
     && List.length (Chain.alive chain) = 3
     && Buffer.contents buf = Buffer.contents expected
     && Buffer.contents backend_lines = expected_lines

@@ -1,7 +1,6 @@
 module Time = Tcpfo_sim.Time
 module Host = Tcpfo_host.Host
 module Stack = Tcpfo_tcp.Stack
-module Tcb = Tcpfo_tcp.Tcb
 module Ipaddr = Tcpfo_packet.Ipaddr
 module Ip_layer = Tcpfo_ip.Ip_layer
 module Eth_iface = Tcpfo_ip.Eth_iface
@@ -9,7 +8,6 @@ module Ipv4_packet = Tcpfo_packet.Ipv4_packet
 module Obs = Tcpfo_obs.Obs
 module Registry = Tcpfo_obs.Registry
 module Transfer = Tcpfo_statex.Transfer
-module Snapshot = Tcpfo_statex.Snapshot
 
 type event =
   | Death_detected of int
@@ -54,16 +52,10 @@ type t = {
   registry : Failover_config.registry;
   config : Failover_config.t;
   service : Ipaddr.t;
-  mutable services : (int * (replica:int -> Tcb.t -> unit)) list;
-  (* §7.2 client-role connections: setup per backend endpoint, re-run
-     when a restored connection lands on a rejoined tail *)
-  mutable backends : ((Ipaddr.t * int) * (replica:int -> Tcb.t -> unit)) list;
+  (* application registry and hot state transfer onto rejoined tails *)
+  reint : int Reintegrate.t;
   mutable on_event : event -> unit;
-  (* hot-state-transfer bookkeeping for the latest rejoin *)
-  mutable pending : int;
-  mutable xfers : int;
   c_deaths : Registry.counter;
-  c_isolated : Registry.counter;
 }
 
 let service_addr t = t.service
@@ -72,7 +64,8 @@ let set_on_event t fn = t.on_event <- fn
 let node_of t i = List.find (fun n -> n.index = i) t.nodes
 let alive t = t.order
 let head t = match t.order with i :: _ -> i | [] -> -1
-let pending_transfers t = t.pending
+let pending_transfers t = Reintegrate.pending t.reint
+let transfer_failures t = Reintegrate.failures t.reint
 
 (* ---------------------------------------------------------------- *)
 (* All-pairs heartbeat mesh.  Each live node unicasts a heartbeat to
@@ -144,14 +137,14 @@ let start_node_mesh t node ~on_death =
 (* ---------------------------------------------------------------- *)
 (* Role reconfiguration after a death.                               *)
 
-let upstream_addr t j =
+(* the live node directly above replica [j], if any *)
+let upstream t j =
   let rec find prev = function
     | [] -> None
-    | i :: rest -> if i = j then prev else find (Some i) rest
+    | i :: rest ->
+      if i = j then Option.map (node_of t) prev else find (Some i) rest
   in
-  match find None t.order with
-  | None -> None
-  | Some i -> Some (Host.addr (node_of t i).host)
+  find None t.order
 
 let promote_node t node =
   if not node.is_head then begin
@@ -184,19 +177,10 @@ let reconfigure t =
         (* 1. headship *)
         if i = head_idx then promote_node t node;
         (* 2. diversion targets follow the live chain *)
-        (match (upstream_addr t i, node.bridge) with
+        (match (upstream t i, node.bridge) with
         | Some up, Tail b ->
-          Secondary_bridge.retarget b up;
-          t.on_event
-            (Retargeted
-               ( i,
-                 (let j = ref (-1) in
-                  List.iter
-                    (fun nd ->
-                      if Ipaddr.equal (Host.addr nd.host) up then
-                        j := nd.index)
-                    t.nodes;
-                  !j) ))
+          Secondary_bridge.retarget b (Host.addr up.host);
+          t.on_event (Retargeted (i, up.index))
         | Some _, Merger _ | None, _ -> ());
         (* 3. the node at the end of the live chain has nothing below it
            any more: degrade per §6 if it was merging *)
@@ -219,131 +203,6 @@ let handle_death t ~observer:_ ~dead =
   end
 
 (* ---------------------------------------------------------------- *)
-(* Hot state transfer onto a rejoined tail.                          *)
-
-let transferable_state : Tcb.state -> bool = function
-  | Tcb.Established | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing
-  | Last_ack | Time_wait ->
-    true
-  | Syn_sent | Syn_received | Closed -> false
-
-let find_backend t (ra, rp) =
-  List.find_map
-    (fun ((a, p), setup) ->
-      if Ipaddr.equal a ra && p = rp then Some setup else None)
-    t.backends
-
-(* Mirror of {!Replicated}'s installer: adopt the restored TCB on the
-   rejoined replica, re-attach the application — listener for
-   server-role connections, connect_backend setup for client-role ones —
-   and resume. *)
-let installer t node ~src:_ (sc : Snapshot.conn) =
-  let snap = sc.Snapshot.tcb in
-  if not (transferable_state snap.Tcb.sn_state) then
-    Error "connection state not transferable"
-  else if not (Ipaddr.equal (fst snap.Tcb.sn_local) t.service) then
-    Error "snapshot is not for the service address"
-  else
-    let stack = Host.tcp node.host in
-    match
-      Stack.adopt stack ~local:snap.Tcb.sn_local ~remote:snap.Tcb.sn_remote
-        ~make:(fun actions ->
-          Tcb.restore (Host.clock node.host) ~obs:(Stack.obs stack)
-            ~config:(Stack.config stack) actions snap)
-    with
-    | Error _ as e -> e
-    | Ok tcb ->
-      (match sc.Snapshot.role with
-      | `Server ->
-        (match List.assoc_opt (snd snap.Tcb.sn_local) t.services with
-        | Some on_accept -> on_accept ~replica:node.index tcb
-        | None -> ())
-      | `Client ->
-        (match find_backend t snap.Tcb.sn_remote with
-        | Some setup -> setup ~replica:node.index tcb
-        | None -> ()));
-      Tcb.resume_restored tcb;
-      Ok ()
-
-(* Ship every live service connection of the end-of-chain node to the
-   rejoined tail; whatever cannot travel is pinned solo. *)
-let start_transfers t ~src:prev ~dst:fresh =
-  let pb =
-    match prev.bridge with
-    | Merger b -> b
-    | Tail _ -> invalid_arg "Chain: transfer source is not a merging level"
-  in
-  let dst = Host.addr fresh.host in
-  let candidates =
-    List.filter
-      (fun tcb ->
-        let la, lp = Tcb.local_endpoint tcb in
-        let _, rp = Tcb.remote_endpoint tcb in
-        Ipaddr.equal la t.service
-        && Failover_config.is_failover_conn t.registry ~local_port:lp
-             ~remote_port:rp)
-      (Stack.connections (Host.tcp prev.host))
-  in
-  let to_transfer, to_isolate =
-    List.partition
-      (fun tcb ->
-        transferable_state (Tcb.state tcb)
-        && Tcb.input_retention_enabled tcb)
-      candidates
-  in
-  let demote_solo tcb =
-    let _, lp = Tcb.local_endpoint tcb in
-    let remote = Tcb.remote_endpoint tcb in
-    Primary_bridge.isolate_conn pb ~remote ~local_port:lp;
-    Registry.Counter.incr t.c_isolated;
-    t.on_event (Isolated { local_port = lp; remote })
-  in
-  List.iter demote_solo to_isolate;
-  t.pending <- List.length to_transfer;
-  t.xfers <- 0;
-  if t.pending = 0 then t.on_event (Transfers_complete 0)
-  else
-    List.iter
-      (fun tcb ->
-        let _, lp = Tcb.local_endpoint tcb in
-        let remote = Tcb.remote_endpoint tcb in
-        let delta_opt = Primary_bridge.conn_delta pb ~remote ~local_port:lp in
-        let delta = Option.value delta_opt ~default:0 in
-        Primary_bridge.begin_transfer pb ~remote ~local_port:lp;
-        let snap = Tcb.snapshot tcb in
-        let snap =
-          if delta <> 0 then Tcb.shift_snapshot snap (-delta) else snap
-        in
-        let role =
-          if Option.is_some (find_backend t remote) then `Client else `Server
-        in
-        let sc =
-          {
-            Snapshot.tcb = snap;
-            role;
-            delta;
-            next_wire_seq = snap.Tcb.sn_snd_max;
-            held_segments = 0;
-            solo = delta_opt <> None;
-          }
-        in
-        Transfer.offer prev.xfer ~dst sc ~on_result:(fun res ->
-            (match res with
-            | Ok ()
-              when List.mem prev.index t.order
-                   && List.mem fresh.index t.order ->
-              t.xfers <- t.xfers + 1;
-              Primary_bridge.complete_transfer pb ~remote ~local_port:lp
-                ~tcb ~delta
-            | Ok () | Error _ ->
-              Primary_bridge.abort_transfer pb ~remote ~local_port:lp;
-              Registry.Counter.incr t.c_isolated;
-              t.on_event (Isolated { local_port = lp; remote }));
-            t.pending <- t.pending - 1;
-            if t.pending = 0 then t.on_event (Transfers_complete t.xfers)))
-      to_transfer
-
-(* ---------------------------------------------------------------- *)
 
 let create ~replicas ~config () =
   (match replicas with
@@ -351,6 +210,10 @@ let create ~replicas ~config () =
   | _ -> invalid_arg "Chain.create: need at least two replicas");
   let service = Host.addr (List.hd replicas) in
   let registry = Failover_config.create_registry config in
+  let reint =
+    Reintegrate.create ~registry ~service_addr:service
+      ~obs:(Host.obs (List.hd replicas))
+  in
   let n = List.length replicas in
   let arr = Array.of_list replicas in
   let nodes =
@@ -384,11 +247,10 @@ let create ~replicas ~config () =
           host;
           bridge;
           is_head = i = 0;
-          xfer = Transfer.attach host;
+          xfer = Reintegrate.attach reint host i;
         })
   in
   let obs = Obs.scope (Obs.root (Host.obs (List.hd replicas))) "chain" in
-  let statex = Obs.scope (Obs.root (Host.obs (List.hd replicas))) "statex" in
   let t =
     {
       nodes;
@@ -397,17 +259,11 @@ let create ~replicas ~config () =
       registry;
       config;
       service;
-      services = [];
-      backends = [];
+      reint;
       on_event = (fun _ -> ());
-      pending = 0;
-      xfers = 0;
       c_deaths = Obs.counter obs "deaths";
-      c_isolated = Obs.counter statex "isolated_conns";
     }
   in
-  List.iter (fun node -> Transfer.set_installer node.xfer (installer t node))
-    t.nodes;
   List.iter
     (fun node ->
       start_node_mesh t node ~on_death:(fun ~observer ~dead ->
@@ -415,36 +271,19 @@ let create ~replicas ~config () =
     t.nodes;
   t
 
+(* live replicas only: a dead node cannot serve, and a rejoined tail
+   receives the services and their connections at {!rejoin} *)
+let live_hosts t = List.map (fun i -> ((node_of t i).host, i)) t.order
+
 let listen t ~port ~on_accept =
-  Failover_config.register_endpoint t.registry ~local_port:port;
-  t.services <- (port, on_accept) :: t.services;
-  (* retention makes the connection transferable onto a rejoined tail *)
-  List.iter
-    (fun i ->
-      let node = node_of t i in
-      Stack.listen (Host.tcp node.host) ~port ~on_accept:(fun tcb ->
-          Tcb.enable_input_retention tcb;
-          on_accept ~replica:node.index tcb))
-    t.order
+  Reintegrate.listen t.reint ~port
+    ~on_accept:(fun replica tcb -> on_accept ~replica tcb)
+    (live_hosts t)
 
 let connect_backend t ~remote ?local_port ~setup () =
-  (match local_port with
-  | Some p -> Failover_config.register_endpoint t.registry ~local_port:p
-  | None ->
-    Failover_config.register_remote t.registry ~remote_port:(snd remote));
-  t.backends <- (remote, setup) :: t.backends;
-  (* live replicas only: a dead node cannot connect, and a rejoined tail
-     receives the connection by hot state transfer instead *)
-  List.iter
-    (fun i ->
-      let node = node_of t i in
-      let tcb =
-        Stack.connect (Host.tcp node.host) ~local:t.service ?local_port
-          ~remote ()
-      in
-      Tcb.enable_input_retention tcb;
-      setup ~replica:node.index tcb)
-    t.order
+  Reintegrate.connect_backend t.reint ~remote ?local_port
+    ~setup:(fun replica tcb -> setup ~replica tcb)
+    (live_hosts t)
 
 let rejoin t host =
   if not (Host.alive host) then invalid_arg "Chain.rejoin: host is not alive";
@@ -465,19 +304,21 @@ let rejoin t host =
   let newaddr = Host.addr host in
   (* 1. the previous end of chain becomes a merging level over the
      newcomer *)
-  (match prev.bridge with
-  | Merger b ->
-    (* a degraded §6 merger resumes replication toward the new tail *)
-    Primary_bridge.reinstate b ~secondary_addr:newaddr
-  | Tail sb ->
+  let pb =
+    match prev.bridge with
+    | Merger b ->
+      (* a degraded §6 merger resumes replication toward the new tail *)
+      Primary_bridge.reinstate b ~secondary_addr:newaddr;
+      b
+    | Tail sb ->
     (* the original tail never merged: swap its secondary bridge for the
        merging bridge a middle (or head) node runs *)
     Secondary_bridge.uninstall sb;
     let output =
       if prev.is_head then Primary_bridge.Direct
       else
-        match upstream_addr t prev.index with
-        | Some up -> Primary_bridge.Divert_to up
+        match upstream t prev.index with
+        | Some up -> Primary_bridge.Divert_to (Host.addr up.host)
         | None -> Primary_bridge.Direct
     in
     let claim = not prev.is_head in
@@ -488,11 +329,14 @@ let rejoin t host =
       Stack.set_extra_local (Host.tcp prev.host) (fun ip ->
           Ipaddr.equal ip t.service)
     end;
-    prev.bridge <-
-      Merger
-        (Primary_bridge.install prev.host ~registry:t.registry
-           ~service_addr:t.service ~secondary_addr:newaddr ~output
-           ~claim_service:claim ()));
+    let b =
+      Primary_bridge.install prev.host ~registry:t.registry
+        ~service_addr:t.service ~secondary_addr:newaddr ~output
+        ~claim_service:claim ()
+    in
+    prev.bridge <- Merger b;
+    b
+  in
   (* 2. the newcomer joins as the new tail of the live chain *)
   let idx = t.next_index in
   t.next_index <- idx + 1;
@@ -502,23 +346,21 @@ let rejoin t host =
   in
   let node =
     { index = idx; host; bridge = Tail sb; is_head = false;
-      xfer = Transfer.attach host }
+      xfer = Reintegrate.attach t.reint host idx }
   in
-  Transfer.set_installer node.xfer (installer t node);
   t.nodes <- t.nodes @ [ node ];
   t.order <- t.order @ [ idx ];
-  (* start the registered services on the newcomer *)
-  List.iter
-    (fun (port, on_accept) ->
-      Stack.listen (Host.tcp host) ~port ~on_accept:(fun tcb ->
-          Tcb.enable_input_retention tcb;
-          on_accept ~replica:idx tcb))
-    t.services;
+  Reintegrate.start_services t.reint host idx;
   start_node_mesh t node ~on_death:(fun ~observer ~dead ->
       handle_death t ~observer ~dead);
   t.on_event (Rejoined idx);
   (* 3. re-replicate live connections onto the new tail *)
-  start_transfers t ~src:prev ~dst:node;
+  Reintegrate.start t.reint ~src:prev.host ~bridge:pb ~xfer:prev.xfer
+    ~dst:newaddr
+    ~live:(fun () -> List.mem prev.index t.order && List.mem idx t.order)
+    ~on_isolated:(fun ~local_port ~remote ->
+      t.on_event (Isolated { local_port; remote }))
+    ~on_complete:(fun n -> t.on_event (Transfers_complete n));
   idx
 
 let kill t i = Host.kill (node_of t i).host

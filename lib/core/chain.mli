@@ -87,7 +87,9 @@ val rejoin : t -> Tcpfo_host.Host.t -> int
     target, or [Direct] output if it had become head) — the registered
     services start on the newcomer, the heartbeat mesh extends to it,
     and every live service connection is quiesced, snapshotted into wire
-    sequence space and shipped onto it ({!Transfers_complete});
+    sequence space and shipped onto it ({!Transfers_complete}) by the
+    shared {!Reintegrate} engine, paced by the config's
+    [transfer_inflight]/[transfer_pace];
     connections that cannot travel are pinned solo ({!Isolated}).
     Raises [Invalid_argument] for a dead host, a host already in the
     live chain, or while a §5 takeover is still in flight. *)
@@ -115,3 +117,9 @@ val set_on_event : t -> (event -> unit) -> unit
 val pending_transfers : t -> int
 (** Hot-state-transfer offers of the latest {!rejoin} still awaiting a
     verdict (0 once it has settled). *)
+
+val transfer_failures : t -> int
+(** Rejoin transfers that ended in Reject or retry-budget exhaustion
+    since the chain was created; nonzero under a merely lossy (not dead)
+    control channel is an invariant violation, as for
+    {!Replicated.transfer_failures}. *)

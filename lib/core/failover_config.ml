@@ -16,9 +16,9 @@ type t = {
          connections re-replicate at once. *)
   transfer_pace : Time.t;
       (* minimum spacing between successive offers once the window has
-         room (zero = no pacing).  Keyed off the control channel's
-         MSS/RTT by the caller when auto-pacing; see
-         {!Replicated.start_transfers}. *)
+         room (zero = no pacing), widened to the control channel's
+         MSS/RTT-derived pace once it has a sample; see
+         {!Reintegrate.start}. *)
 }
 
 let default =

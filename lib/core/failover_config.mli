@@ -30,17 +30,18 @@ type t = {
       (** §3.2 joint-window rule; disabling it (ablation) lets the client
           overrun the slower replica. *)
   transfer_inflight : int;
-      (** Reintegration offer window: at most this many connections may
-          be mid-transfer at once.  0 (the default) keeps the legacy
-          behaviour — every offer issued in one burst at the
-          reintegration instant.  A bounded window keeps the transfer
-          channel's buffering and the per-instant work flat when
+      (** Reintegration offer window, for pools and chains alike: at most
+          this many connections may be mid-transfer at once.  0 (the
+          default) keeps the legacy behaviour — every offer issued in one
+          burst at the reintegration instant.  A bounded window keeps the
+          transfer channel's buffering and the per-instant work flat when
           thousands of connections re-replicate. *)
   transfer_pace : Tcpfo_sim.Time.t;
       (** Minimum spacing between successive offers once the window has
-          room ([Time.zero] = no pacing, the default).
-          {!Replicated.start_transfers} keys the useful value off the
-          transfer channel's chunk size and measured RTT. *)
+          room ([Time.zero] = no pacing, the default).  {!Reintegrate.start}
+          widens it to the transfer channel's chunk size over its
+          measured RTT once a sample exists.  Applies to
+          {!Replicated.reintegrate} and {!Chain.rejoin} alike. *)
 }
 
 val default : t

@@ -1121,6 +1121,14 @@ let run_chain ?on_world scenario =
       check (!isolated = 0)
         (Printf.sprintf "%d connection(s) stranded solo by the rejoin"
            !isolated));
+  (* as for pairs and pools: even under the lossy-control-channel axis
+     every rejoin transfer must settle without a reject or timeout *)
+  if sc.repair <> No_repair then
+    check
+      (Chain.transfer_failures chain = 0)
+      (Printf.sprintf
+         "%d hot state transfer(s) failed under a lossy control channel"
+         (Chain.transfer_failures chain));
   check_transfer_mss xfer_capture ~check;
   {
     scenario = sc;

@@ -15,7 +15,7 @@
 # gives the same verdict on any machine.  Nonzero exit fails the job.
 #
 # Usage: scripts/bench_compare.sh <exp> <summary-file> [baseline-file]
-#   exp ∈ scale | reintegration | highconn | fleet
+#   exp ∈ scale | reintegration | highconn | fleet | pool | threetier
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -42,6 +42,34 @@ smoke_num() {
 # First numeric value of "key" on the first summary line.
 sum_num() {
   head -1 "$sum" | grep -o "\"$1\":[0-9][0-9.]*" | head -1 | cut -d: -f2
+}
+
+# Suffixes N of the smoke keys named "<prefix>N" (one per gated row).
+smoke_rows() {
+  sed -n '/"smoke"/,/}/p' "$baseline" \
+    | sed -n 's/.*"'"$1"'\([0-9]*\)".*/\1/p'
+}
+
+# Numeric value of "key" in the first summary row object opening with
+# "<first-key>":<n>, (rows are fixed-order JSON objects).
+row_num() { # row_num <first-key> <n> <key>
+  grep -o "{\"$1\":$2,[^}]*}" "$sum" | head -1 \
+    | grep -o "\"$3\":[0-9][0-9.]*" | head -1 | cut -d: -f2
+}
+
+# Gate every row the baseline lists: row_eq <first-key> <fields...>;
+# the smoke key for field F of row N is "F_N".
+rows_eq() {
+  local first=$1 probe=$2 n rows=0
+  shift 2
+  for n in $(smoke_rows "${probe}_"); do
+    rows=$((rows + 1))
+    for key in "$@"; do
+      check_eq "$key @ $first $n" "$(row_num "$first" "$n" "$key")" \
+        "$(smoke_num "${key}_$n")"
+    done
+  done
+  [ "$rows" -gt 0 ] || complain "baseline smoke section lists no ${probe}_N rows"
 }
 
 require_flag() { # every summary line must carry e.g. "all_ok":true
@@ -106,6 +134,21 @@ case "$exp" in
     for key in completed resets refused unmatched isolation_drops events; do
       check_eq "smoke $key" "$(sum_num $key)" "$(smoke_num $key)"
     done
+    ;;
+
+  # E12/E14 re-replicate through the shared reintegration engine; their
+  # promotion / rejoin latencies are simulated time, so exact per row
+  pool)
+    require_flag all_ok
+    check_eq "smoke trials" "$(sum_num trials)" "$(smoke_num trials)"
+    rows_eq replicas median_promotion_us kills median_promotion_us \
+      max_promotion_us
+    ;;
+
+  threetier)
+    require_flag all_ok
+    check_eq "smoke trials" "$(sum_num trials)" "$(smoke_num trials)"
+    rows_eq cycles median_rejoin_us median_rejoin_us max_rejoin_us
     ;;
 
   *)

@@ -14,6 +14,7 @@ module Seq32 = Tcpfo_util.Seq32
 module Tcp_config = Tcpfo_tcp.Tcp_config
 module Registry = Tcpfo_obs.Registry
 module Soak = Tcpfo_fault.Soak
+module Chain = Tcpfo_core.Chain
 
 let counter world name = Registry.counter_value (World.metrics world) name
 
@@ -551,65 +552,141 @@ let test_checkpointed_conn_survives_repair () =
     "donedonedone" (sink_contents csink);
   check_int "never reset" 0 csink.resets
 
-(* -- paced offer scheduling --------------------------------------------- *)
+(* -- paced offer scheduling, for pairs and chains ------------------------ *)
 
-let test_paced_scheduler_windows_offers () =
-  (* transfer_inflight=1 + a pace floor: offers must trickle out one at
-     a time instead of bursting at the reintegration instant, and every
-     connection must still re-replicate and survive a second failover *)
-  let config =
-    Failover_config.make ~transfer_inflight:1 ~transfer_pace:(Time.us 200) ()
-  in
-  let r = make_repl_lan ~config () in
-  Replicated.listen r.repl ~port:80 ~on_accept:(fun ~role:_ tcb ->
-      Tcb.set_on_data tcb (fun d -> ignore (Tcb.send tcb ("R:" ^ d))));
-  let n = 5 in
+(* One replicated echo service behind either reintegration path: the
+   pair ({!Replicated}) or a three-replica chain ({!Chain}).  [fail]
+   kills the replica that [repair] later replaces (the secondary, or the
+   chain's tail); [rekill] then fails over onto the restored copies. *)
+type topo = {
+  tworld : World.t;
+  tclient : Host.t;
+  service : Ipaddr.t;
+  completed : int option ref;
+  fail : unit -> unit;
+  repair : unit -> unit;
+  rekill : unit -> unit;
+  pending : unit -> int;
+  failures : unit -> int;
+}
+
+let echo tcb = Tcb.set_on_data tcb (fun d -> ignore (Tcb.send tcb ("R:" ^ d)))
+
+let make_topo kind ~config =
+  let completed = ref None in
+  match kind with
+  | `Pair ->
+    let r = make_repl_lan ~config () in
+    let repl = r.repl in
+    Replicated.listen repl ~port:80 ~on_accept:(fun ~role:_ tcb -> echo tcb);
+    Replicated.add_on_event repl (function
+      | Replicated.Transfers_complete k -> completed := Some k
+      | _ -> ());
+    {
+      tworld = r.rworld;
+      tclient = r.rclient;
+      service = Replicated.service_addr repl;
+      completed;
+      fail = (fun () -> Replicated.kill_secondary repl);
+      repair =
+        (fun () ->
+          let fresh =
+            World.add_host r.rworld r.rlan ~name:"repaired" ~addr:"10.0.0.3" ()
+          in
+          World.warm_arp [ r.rclient; r.primary; r.secondary; fresh ];
+          Replicated.reintegrate repl ~secondary:fresh);
+      rekill = (fun () -> Replicated.kill_primary repl);
+      pending = (fun () -> Replicated.pending_transfers repl);
+      failures = (fun () -> Replicated.transfer_failures repl);
+    }
+  | `Chain ->
+    let world = World.create () in
+    let lan = World.make_lan world () in
+    let add name addr = World.add_host world lan ~name ~addr () in
+    let client = add "client" "10.0.0.10" in
+    let replicas =
+      [ add "head" "10.0.0.1"; add "middle" "10.0.0.2"; add "tail" "10.0.0.5" ]
+    in
+    World.warm_arp (client :: replicas);
+    let chain = Chain.create ~replicas ~config () in
+    Chain.listen chain ~port:80 ~on_accept:(fun ~replica:_ tcb -> echo tcb);
+    Chain.set_on_event chain (function
+      | Chain.Transfers_complete k -> completed := Some k
+      | _ -> ());
+    {
+      tworld = world;
+      tclient = client;
+      service = Chain.service_addr chain;
+      completed;
+      fail = (fun () -> Chain.kill chain 2);
+      repair =
+        (fun () ->
+          let fresh = add "repaired" "10.0.0.3" in
+          World.warm_arp (fresh :: client :: replicas);
+          ignore (Chain.rejoin chain fresh));
+      rekill = (fun () -> Chain.kill chain (Chain.head chain));
+      pending = (fun () -> Chain.pending_transfers chain);
+      failures = (fun () -> Chain.transfer_failures chain);
+    }
+
+let run_topo tp ~for_sec = World.run tp.tworld ~for_:(Time.sec for_sec)
+
+(* [n] client connections, each sending "q<i>" once established *)
+let open_clients tp n =
   let sinks = Array.init n (fun _ -> make_sink ()) in
   let conns =
     Array.init n (fun i ->
         let c =
-          Stack.connect (Host.tcp r.rclient)
-            ~remote:(Replicated.service_addr r.repl, 80)
-            ()
+          Stack.connect (Host.tcp tp.tclient) ~remote:(tp.service, 80) ()
         in
         wire_sink sinks.(i) c;
         Tcb.set_on_established c (fun () ->
             ignore (Tcb.send c (Printf.sprintf "q%d" i)));
         c)
   in
-  run_repl ~for_sec:1.0 r;
+  (sinks, conns)
+
+(* Run [steps] × 100 µs, returning the largest number of offers seen in
+   flight on the transfer channel at a step boundary. *)
+let sample_inflight tp ~steps =
+  let peak = ref 0 in
+  for _ = 1 to steps do
+    World.run tp.tworld ~for_:(Time.us 100);
+    let c = counter tp.tworld in
+    let inflight =
+      c "statex.offers_sent" - c "statex.accepts" - c "statex.rejects"
+      - c "statex.timeouts"
+    in
+    if inflight > !peak then peak := inflight
+  done;
+  !peak
+
+let test_paced_scheduler_windows_offers kind () =
+  (* transfer_inflight=1 + a pace floor: offers must trickle out one at
+     a time instead of bursting at the reintegration instant, and every
+     connection must still re-replicate and survive a second failover *)
+  let config =
+    Failover_config.make ~transfer_inflight:1 ~transfer_pace:(Time.us 200) ()
+  in
+  let tp = make_topo kind ~config in
+  let n = 5 in
+  let sinks, conns = open_clients tp n in
+  run_topo tp ~for_sec:1.0;
   Array.iteri
     (fun i s ->
       check_string "served" (Printf.sprintf "R:q%d" i) (sink_contents s))
     sinks;
-  Replicated.kill_secondary r.repl;
-  run_repl ~for_sec:2.0 r;
-  let completed = ref None in
-  Replicated.add_on_event r.repl (function
-    | Replicated.Transfers_complete k -> completed := Some k
-    | _ -> ());
-  let fresh =
-    World.add_host r.rworld r.rlan ~name:"repaired" ~addr:"10.0.0.3" ()
-  in
-  World.warm_arp [ r.rclient; r.primary; r.secondary; fresh ];
-  Replicated.reintegrate r.repl ~secondary:fresh;
+  tp.fail ();
+  run_topo tp ~for_sec:2.0;
+  tp.repair ();
   (* sample the channel while the paced transfers drain: the in-flight
      window must never exceed the configured cap *)
-  let max_inflight = ref 0 in
-  for _ = 1 to 300 do
-    World.run r.rworld ~for_:(Time.us 100);
-    let st = Replicated.transfer_stats r.repl in
-    let inflight =
-      st.Transfer.offers_sent - st.Transfer.accepts - st.Transfer.rejects
-      - st.Transfer.timeouts
-    in
-    if inflight > !max_inflight then max_inflight := inflight
-  done;
-  run_repl ~for_sec:2.0 r;
-  check_bool "all re-replicated" true (!completed = Some n);
-  check_int "no failures" 0 (Replicated.transfer_failures r.repl);
-  check_bool "window respected" true (!max_inflight <= 1);
-  let m = World.metrics r.rworld in
+  let max_inflight = sample_inflight tp ~steps:300 in
+  run_topo tp ~for_sec:2.0;
+  check_bool "all re-replicated" true (!(tp.completed) = Some n);
+  check_int "no failures" 0 (tp.failures ());
+  check_bool "window respected" true (max_inflight <= 1);
+  let m = World.metrics tp.tworld in
   check_bool "offers were paced" true
     (Registry.counter_value m "statex.paced_offers" >= n - 1);
   check_bool "pace wait accounted" true
@@ -618,10 +695,10 @@ let test_paced_scheduler_windows_offers () =
     (Registry.gauge_value m "statex.transfer_queue_depth");
   (* the paced captures were exact: a second failover onto the restored
      copies continues every session byte-exactly *)
-  Replicated.kill_primary r.repl;
-  run_repl ~for_sec:2.0 r;
+  tp.rekill ();
+  run_topo tp ~for_sec:2.0;
   Array.iteri (fun i c -> ignore (Tcb.send c (Printf.sprintf "z%d" i))) conns;
-  run_repl ~for_sec:3.0 r;
+  run_topo tp ~for_sec:3.0;
   Array.iteri
     (fun i s ->
       check_string "continued byte-exactly"
@@ -630,7 +707,7 @@ let test_paced_scheduler_windows_offers () =
       check_int "never reset" 0 s.resets)
     sinks
 
-let test_write_during_paced_transfer () =
+let test_write_during_paced_transfer kind () =
   (* Regression for capture atomicity: pacing defers offers past the
      reintegration instant, so client bytes land on still-queued
      connections while earlier offers drain.  Each deferred capture
@@ -640,38 +717,24 @@ let test_write_during_paced_transfer () =
   let config =
     Failover_config.make ~transfer_inflight:1 ~transfer_pace:(Time.ms 1) ()
   in
-  let r = make_repl_lan ~config () in
-  Replicated.listen r.repl ~port:80 ~on_accept:(fun ~role:_ tcb ->
-      Tcb.set_on_data tcb (fun d -> ignore (Tcb.send tcb ("R:" ^ d))));
+  let tp = make_topo kind ~config in
   let n = 4 in
-  let sinks = Array.init n (fun _ -> make_sink ()) in
-  let conns =
-    Array.init n (fun i ->
-        let c =
-          Stack.connect (Host.tcp r.rclient)
-            ~remote:(Replicated.service_addr r.repl, 80)
-            ()
-        in
-        wire_sink sinks.(i) c;
-        Tcb.set_on_established c (fun () ->
-            ignore (Tcb.send c (Printf.sprintf "q%d" i)));
-        c)
-  in
-  run_repl ~for_sec:1.0 r;
-  Replicated.kill_secondary r.repl;
-  run_repl ~for_sec:2.0 r;
-  let fresh =
-    World.add_host r.rworld r.rlan ~name:"repaired" ~addr:"10.0.0.3" ()
-  in
-  World.warm_arp [ r.rclient; r.primary; r.secondary; fresh ];
-  Replicated.reintegrate r.repl ~secondary:fresh;
+  let sinks, conns = open_clients tp n in
+  run_topo tp ~for_sec:1.0;
+  tp.fail ();
+  run_topo tp ~for_sec:2.0;
+  tp.repair ();
   (* mid-pacing: every client writes while the offer queue still holds
      most of the connections *)
-  World.run r.rworld ~for_:(Time.us 300);
+  let early = sample_inflight tp ~steps:3 in
   Array.iteri (fun i c -> ignore (Tcb.send c (Printf.sprintf "m%d" i))) conns;
-  run_repl ~for_sec:3.0 r;
-  check_int "transfers settled" 0 (Replicated.pending_transfers r.repl);
-  check_int "no failures" 0 (Replicated.transfer_failures r.repl);
+  let late = sample_inflight tp ~steps:100 in
+  run_topo tp ~for_sec:3.0;
+  check_int "transfers settled" 0 (tp.pending ());
+  check_int "no failures" 0 (tp.failures ());
+  check_bool "window respected" true (max early late <= 1);
+  check_bool "offers were paced" true
+    (counter tp.tworld "statex.paced_offers" >= n - 1);
   Array.iteri
     (fun i s ->
       check_string "mid-pacing write served once"
@@ -681,10 +744,10 @@ let test_write_during_paced_transfer () =
   (* the decisive check: fail over onto the restored copies — a byte
      double-counted or dropped by a non-atomic capture surfaces as a
      divergent stream here *)
-  Replicated.kill_primary r.repl;
-  run_repl ~for_sec:2.0 r;
+  tp.rekill ();
+  run_topo tp ~for_sec:2.0;
   Array.iteri (fun i c -> ignore (Tcb.send c (Printf.sprintf "e%d" i))) conns;
-  run_repl ~for_sec:3.0 r;
+  run_topo tp ~for_sec:3.0;
   Array.iteri
     (fun i s ->
       check_string "session continued byte-exactly after the rekill"
@@ -886,9 +949,16 @@ let suite =
     Alcotest.test_case "checkpointed conn ships a delta and survives repair"
       `Quick test_checkpointed_conn_survives_repair;
     Alcotest.test_case "paced scheduler respects the offer window" `Quick
-      test_paced_scheduler_windows_offers;
+      (test_paced_scheduler_windows_offers `Pair);
+    Alcotest.test_case "chain: paced scheduler respects the offer window"
+      `Quick
+      (test_paced_scheduler_windows_offers `Chain);
     Alcotest.test_case "client write during paced transfer counted once"
-      `Quick test_write_during_paced_transfer;
+      `Quick
+      (test_write_during_paced_transfer `Pair);
+    Alcotest.test_case "chain: client write during paced transfer counted once"
+      `Quick
+      (test_write_during_paced_transfer `Chain);
     Alcotest.test_case "backend conn survives repair and rekill (7.2)" `Quick
       test_backend_conn_repair_and_rekill;
     Alcotest.test_case "restored relay's new output not swallowed" `Quick
