@@ -53,13 +53,33 @@ let test_seq32 =
       ignore (Seq32.lt s (Seq32.add s 1460))))
 
 let test_interval_buf =
-  (* one bridge matching step: insert a segment on both queues and pop the
-     common prefix *)
+  (* one in-order TCP receive: insert a segment into an empty buffer and
+     pop it *)
   Test.make ~name:"interval_buf/insert+pop-1460B"
     (Staged.stage (fun () ->
          let b = Interval_buf.create ~base:(Seq32.of_int 1000) in
          Interval_buf.insert b ~seq:(Seq32.of_int 1000) payload_1460;
          ignore (Interval_buf.pop b ~max_len:1460)))
+
+let test_interval_buf_backlog =
+  (* one bridge matching step (§3.4) with the primary a 64 KB window
+     (45 segments) ahead: its next segment joins the backlog, the
+     secondary's twin arrives, and the common prefix is merged by an
+     MSS pop on the primary's queue and a drop on the secondary's *)
+  let window = 45 in
+  let pq = Interval_buf.create ~base:Seq32.zero in
+  let sq = Interval_buf.create ~base:Seq32.zero in
+  for k = 0 to window - 1 do
+    Interval_buf.insert pq ~seq:(Seq32.of_int (k * 1460)) payload_1460
+  done;
+  Test.make ~name:"interval_buf/bridge-backlog-64KB"
+    (Staged.stage (fun () ->
+         let lag = Interval_buf.base sq in
+         Interval_buf.insert pq ~seq:(Seq32.add lag (window * 1460))
+           payload_1460;
+         Interval_buf.insert sq ~seq:lag payload_1460;
+         ignore (Interval_buf.pop pq ~max_len:1460);
+         Interval_buf.drop sq ~len:1460))
 
 let test_heap =
   Test.make ~name:"heap/push-pop-64" (Staged.stage (fun () ->
@@ -88,6 +108,7 @@ let all_tests =
       test_decode;
       test_seq32;
       test_interval_buf;
+      test_interval_buf_backlog;
       test_heap;
       test_engine;
     ]
